@@ -36,19 +36,13 @@ from repro.analysis.zones import Zone, ZoneMap, ZoneSeeds, classify_zones
 
 ZONE_MAP_VERSION = 1
 
-#: ``CompileTelemetry`` fields that are deterministic effort (the
-#: wall/circumstance fields — wall_ms, check_ms, cache_hits,
-#: cache_misses — are excluded on purpose: mutating those is not a
-#: determinism obligation).
-EFFORT_FIELDS = (
-    "kl_iterations",
-    "kl_probes",
-    "kl_probe_cache_hits",
-    "kl_bin_packs",
-    "kl_repacks",
-    "kl_pack_steps",
-    "sched_attempts",
-)
+#: ``CompileTelemetry`` fields that hold deterministic effort: the one
+#: ``effort`` dict keyed by :data:`~repro.observability.effort.EFFORT_NAMES`
+#: (the wall/circumstance fields -- wall_ms, check_ms, cache_hits,
+#: cache_misses -- are excluded on purpose: mutating those is not a
+#: determinism obligation).  A function that stores to one of these
+#: attributes is an effort-counter mutator.
+EFFORT_FIELDS = ("effort",)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from repro.dependence.analysis import analyze_loop
 from repro.interp.interpreter import run_loop
 from repro.interp.memory import MemoryImage
 from repro.ir.loop import Loop
+from repro.ir.operations import reserve_op_ids_through
 from repro.machine.machine import MachineDescription
 from repro.observability.recorder import active_recorder, maybe_span
 from repro.pipeline.list_schedule import list_schedule_length
@@ -333,7 +334,14 @@ def compile_loop(
 ) -> CompiledLoop:
     """Compile ``loop`` under ``strategy`` for ``machine``; with
     ``REPRO_CHECK`` set, validate the result in-process and raise on
-    any ERROR finding.  See :func:`_compile_loop` for the parameters."""
+    any ERROR finding.  See :func:`_compile_loop` for the parameters.
+
+    The loop may come from another process (a compile-server worker
+    forked before the loop was built), so the operations this compile
+    mints are numbered past every uid the loop already carries."""
+    reserve_op_ids_through(
+        max((op.uid for op in (*loop.body, *loop.preheader)), default=-1)
+    )
     compiled = _compile_loop(
         loop,
         machine,

@@ -17,11 +17,13 @@ the corpus and the compiler are deterministic, machine speed is not.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 
 from repro.evaluation.experiments import Evaluator, figure1_iis
+from repro.observability.effort import EFFORT_NAMES, zero_effort
 from repro.workloads.spec import BENCHMARK_NAMES
 
 BENCH_SCHEMA_VERSION = 1
@@ -40,7 +42,8 @@ DEFAULT_II_TOLERANCE = 1e-6
 
 @dataclass(frozen=True)
 class Regression:
-    """One metric that got worse than the baseline."""
+    """One metric that got worse than the baseline (``current`` is NaN
+    when the current run no longer reports it)."""
 
     experiment: str
     metric: str
@@ -48,26 +51,15 @@ class Regression:
     current: float
 
     def render(self) -> str:
+        current = "missing" if math.isnan(self.current) else f"{self.current:g}"
         return (
             f"[{self.experiment}] {self.metric}: baseline {self.baseline:g} "
-            f"-> current {self.current:g}"
+            f"-> current {current}"
         )
 
 
 # ----------------------------------------------------------------------
 # Collection
-
-
-#: Deterministic compile-effort counters gated by ``--gate-effort``:
-#: pure functions of the corpus and the compiler, unlike wall clock.
-EFFORT_COUNTERS = (
-    "kl_iterations",
-    "kl_probes",
-    "kl_bin_packs",
-    "kl_repacks",
-    "kl_pack_steps",
-    "sched_attempts",
-)
 
 
 def telemetry_payload(
@@ -78,13 +70,7 @@ def telemetry_payload(
             label: {
                 "loops": t.loops,
                 "wall_ms": round(t.wall_ms, 3),
-                "kl_iterations": t.kl_iterations,
-                "kl_probes": t.kl_probes,
-                "kl_probe_cache_hits": t.kl_probe_cache_hits,
-                "kl_bin_packs": t.kl_bin_packs,
-                "kl_repacks": t.kl_repacks,
-                "kl_pack_steps": t.kl_pack_steps,
-                "sched_attempts": t.sched_attempts,
+                **t.effort,
                 "cache_hits": t.cache_hits,
                 "cache_misses": t.cache_misses,
                 "check_ms": round(t.check_ms, 3),
@@ -106,8 +92,7 @@ def compile_perf_payload(
     cache hit/miss split, wall clock).  The ``effort`` block is
     deterministic and comparable across machines; ``wall_s`` is not."""
     telemetry = telemetry_payload(evaluator, names)
-    totals = {counter: 0 for counter in EFFORT_COUNTERS}
-    totals["kl_probe_cache_hits"] = 0
+    totals = zero_effort()
     cache_hits = cache_misses = loops = 0
     for variants in telemetry.values():
         for row in variants.values():
@@ -426,10 +411,13 @@ def compare_effort(
 ) -> list[Regression]:
     """Compile-*effort* regressions against the baseline.
 
-    Every deterministic counter in :data:`EFFORT_COUNTERS` must not grow
+    Every deterministic counter in
+    :data:`~repro.observability.effort.EFFORT_NAMES` must not grow
     for any (benchmark, variant) batch: the compiler and the corpus are
     pure, so a counter increase means the search genuinely got more
     expensive — unlike wall clock, which this gate deliberately ignores.
+    A counter the baseline row has and the current row lacks is reported
+    too, so renaming or dropping a counter cannot pass silently.
     """
     regressions: list[Regression] = []
     for experiment, base_payload in baseline.items():
@@ -446,16 +434,17 @@ def compare_effort(
                 cur_row = cur_variants.get(label)
                 if cur_row is None:
                     continue
-                for counter in EFFORT_COUNTERS:
-                    if counter not in base_row or counter not in cur_row:
+                for counter in EFFORT_NAMES:
+                    if counter not in base_row:
                         continue
-                    if cur_row[counter] > base_row[counter]:
+                    current = float(cur_row.get(counter, math.nan))
+                    if math.isnan(current) or current > base_row[counter]:
                         regressions.append(
                             Regression(
                                 experiment,
                                 f"effort.{name}.{label}.{counter}",
                                 float(base_row[counter]),
-                                float(cur_row[counter]),
+                                current,
                             )
                         )
     unique: dict[str, Regression] = {}

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.compiler.driver import CompiledLoop, compile_loop
 from repro.compiler.service import CompileRequest, compile_one, effort_counters
 from repro.compiler.strategies import Strategy
 from repro.machine.configs import aligned_machine, figure1_machine, paper_machine
 from repro.machine.machine import MachineDescription
+from repro.observability.effort import zero_effort
 from repro.observability.recorder import active_recorder, maybe_span
 from repro.vectorize.partition import PartitionConfig
 from repro.workloads.kernels import dot_product
@@ -78,22 +79,17 @@ class LoopComparison:
 class CompileTelemetry:
     """Aggregate compile-time effort for one (benchmark, variant) batch.
 
-    The ``kl_*`` and ``sched_attempts`` counters are *deterministic
-    effort* metrics: they ride on the compiled objects themselves, so
-    they are identical whether a loop was compiled in-process, in a
-    worker, or served from the on-disk compile cache.  ``wall_ms`` and
-    the ``cache_hits``/``cache_misses`` split describe how this
-    particular run obtained the results."""
+    ``effort`` holds the *deterministic effort* counters of
+    :data:`~repro.observability.effort.EFFORT_COUNTERS`: they ride on
+    the compiled objects themselves, so they are identical whether a
+    loop was compiled in-process, in a worker, or served from the
+    on-disk compile cache.  ``wall_ms`` and the
+    ``cache_hits``/``cache_misses`` split describe how this particular
+    run obtained the results."""
 
     loops: int = 0
     wall_ms: float = 0.0
-    kl_iterations: int = 0
-    kl_probes: int = 0
-    kl_probe_cache_hits: int = 0
-    kl_bin_packs: int = 0
-    kl_repacks: int = 0
-    kl_pack_steps: int = 0
-    sched_attempts: int = 0
+    effort: dict[str, int] = field(default_factory=zero_effort)
     cache_hits: int = 0
     cache_misses: int = 0
     # Translation-validation overhead (populated when checks run, either
@@ -106,14 +102,13 @@ class CompileTelemetry:
         self.loops += 1
         self.check_ms += getattr(compiled, "check_ms", 0.0)
         self.check_findings += getattr(compiled, "check_findings", 0)
-        if compiled.partition is not None:
-            self.kl_iterations += compiled.partition.iterations
-            self.kl_probes += compiled.partition.n_probes
-            self.kl_probe_cache_hits += compiled.partition.n_probe_cache_hits
-            self.kl_bin_packs += compiled.partition.n_bin_packs
-            self.kl_repacks += compiled.partition.n_repacks
-            self.kl_pack_steps += compiled.partition.n_pack_steps
-        self.sched_attempts += sum(u.schedule.attempts for u in compiled.units)
+        loop_effort = effort_counters(compiled)
+        # Rebound rather than updated in place: the invariant analyzer
+        # finds effort mutators by their attribute stores to ``effort``.
+        self.effort = {
+            name: total + loop_effort.get(name, 0)
+            for name, total in self.effort.items()
+        }
 
 
 @dataclass
@@ -144,14 +139,14 @@ def _timed_compile_job(request: CompileRequest) -> tuple[CompiledLoop, float]:
     return compiled, (time.perf_counter() - start) * 1e3
 
 
+#: The effort counters the progress monitor shows per strategy.
+LOOP_EFFORT_COUNTERS = ("sched_attempts", "kl_pack_steps", "kl_probes")
+
+
 def _loop_effort(compiled: CompiledLoop) -> dict[str, int]:
     """The progress monitor's per-strategy effort subset."""
     effort = effort_counters(compiled)
-    return {
-        key: effort[key]
-        for key in ("sched_attempts", "kl_pack_steps", "kl_probes")
-        if key in effort
-    }
+    return {key: effort[key] for key in LOOP_EFFORT_COUNTERS if key in effort}
 
 
 class Evaluator:

@@ -14,6 +14,7 @@ paper's loop-control and addressing costs enter the schedule.
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 from dataclasses import dataclass, field, replace
@@ -118,6 +119,22 @@ _op_ids = itertools.count()
 
 def _next_op_id() -> int:
     return next(_op_ids)
+
+
+def reserve_op_ids_through(uid: int) -> None:
+    """Make every uid minted from now on exceed ``uid``.
+
+    A loop built in one process and compiled in another (a forked pool
+    worker) carries uids that the compiling process's counter may not
+    have reached yet; minting over them would alias two operations.
+    The counter skips ahead by consuming the uids it is behind, so it
+    never moves backwards and a uid another thread mints meanwhile stays
+    unique.  Where the counter is already past ``uid`` -- always, for a
+    loop built in this process -- nothing changes.
+    """
+    behind = uid + 1 - int(repr(_op_ids)[len("count("):-1])
+    if behind > 0:
+        collections.deque(itertools.islice(_op_ids, behind), maxlen=0)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.observability.effort import EFFORT_COUNTERS
 from repro.observability.recorder import Recorder
 
 PROFILE_SCHEMA_VERSION = 1
@@ -32,18 +33,10 @@ PROFILE_KIND = "repro-profile"
 #: Root node name: the synthetic parent of the session's top-level spans.
 ROOT_NAME = "(session)"
 
-#: CompileTelemetry field -> recorder counter carrying the same effort.
+#: Effort counter name -> recorder counter carrying the same effort.
 #: The profile's per-phase attribution of each counter must sum exactly
 #: to the flat telemetry total (verified by tests/test_profiling.py).
-EFFORT_COUNTER_MAP = {
-    "kl_iterations": "kl.iterations",
-    "kl_probes": "kl.moves_evaluated",
-    "kl_probe_cache_hits": "kl.probe_cache_hits",
-    "kl_bin_packs": "kl.bin_packs",
-    "kl_repacks": "kl.repacks",
-    "kl_pack_steps": "kl.pack_steps",
-    "sched_attempts": "sched.ii_attempts",
-}
+EFFORT_COUNTER_MAP = {counter.name: counter.trace for counter in EFFORT_COUNTERS}
 
 
 @dataclass

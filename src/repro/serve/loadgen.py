@@ -39,7 +39,7 @@ import time
 
 from repro.compiler.service import compile_one
 from repro.compiler.strategies import Strategy
-from repro.evaluation.bench_io import EFFORT_COUNTERS, write_bench_json
+from repro.evaluation.bench_io import write_bench_json
 from repro.ledger.record import (
     RunRecord,
     current_git_sha,
@@ -49,12 +49,9 @@ from repro.ledger.record import (
 )
 from repro.ledger.store import Ledger
 from repro.machine.configs import MACHINE_FACTORIES
+from repro.observability.effort import EFFORT_NAMES, zero_effort
 from repro.serve.protocol import parse_compile_request
 from repro.workloads.generator import CorpusSpec, corpus_plan
-
-#: Every deterministic effort counter a serve/direct record sums —
-#: the bench set plus the probe-cache counter, matching sweep records.
-ALL_EFFORT = tuple(EFFORT_COUNTERS) + ("kl_probe_cache_hits",)
 
 
 def _percentile(sorted_values: list[float], fraction: float) -> float:
@@ -251,7 +248,7 @@ def build_record(
     deltas under ``dashboard compare --fail-on-exact``.
     """
     loops_grid: dict[str, dict[str, dict[str, float]]] = {}
-    effort = {counter: 0 for counter in ALL_EFFORT}
+    effort = zero_effort()
     for summary in summaries.values():
         row = loops_grid.setdefault(summary["loop"], {})
         row[summary["strategy"]] = {
@@ -259,7 +256,7 @@ def build_record(
             "res_mii": summary["res_mii"],
             "rec_mii": summary["rec_mii"],
         }
-        for counter in ALL_EFFORT:
+        for counter in EFFORT_NAMES:
             effort[counter] += int(summary["effort"].get(counter, 0))
     config = {
         "experiments": ["serve"],

@@ -31,14 +31,7 @@ reproduces the original trajectory bit-for-bit):
   first changed reservation and replays from there, which yields a state
   identical to a from-scratch ``BIN-PACK`` of the flipped assignment.
   Set ``REPRO_KL_VERIFY=1`` to assert full state equality (weights and
-  ledger) against a reference pack after every move;
-* probe results are memoized FM-style between moves: a cached probe is
-  invalidated when the last committed move touched an intersecting
-  transfer key (``touch_keys``), and is only *reused* after re-validating
-  the bin weights, the rest-of-machine high-water mark, and the ledger
-  entries the replay would release — under which the release/reserve
-  replay is provably identical, so a hit is bit-identical to a fresh
-  probe.  Set ``REPRO_KL_PROBE_CACHE=0`` to disable.
+  ledger) against a reference pack after every move.
 """
 
 from __future__ import annotations
@@ -100,7 +93,6 @@ class PartitionResult:
     moves_accepted: int = 0
     n_probes: int = 0
     n_bin_packs: int = 0
-    n_probe_cache_hits: int = 0
     n_repacks: int = 0
     n_pack_steps: int = 0
 
@@ -139,7 +131,6 @@ class PartitionCostModel:
         # recorder is active, the kl.* counters.
         self.n_bin_packs = 0
         self.n_probes = 0
-        self.n_probe_cache_hits = 0
         self.n_repacks = 0
         self.n_pack_steps = 0
         # (uid, side) -> opcode tuple; pure per model and re-resolved
@@ -289,37 +280,6 @@ class PartitionCostModel:
         finally:
             bins.rollback(mark)
 
-    # ------------------------------------------------------------------
-
-    def probe_footprint(self, op: Operation) -> frozenset[str]:
-        """Resource instances a flip of ``op`` can touch, on either side:
-        the validity context of a cached probe result."""
-        classes: set[str] = set()
-        for side in (Side.SCALAR, Side.VECTOR):
-            for info in self.op_opcodes(op, side):
-                for use in info.uses:
-                    classes.add(use.resource)
-        for key in self.touch_keys[op.uid]:
-            if isinstance(key, tuple) and key and key[0] == "carried":
-                dtype = None
-                for entry in self.dataflow.carried_consumers:
-                    if entry.name == key[1]:
-                        dtype = entry.type
-                        break
-            else:
-                dtype = self.dataflow.producer_dtype.get(key)
-            if dtype is None:
-                continue
-            for to_vector in (False, True):
-                transfer = Transfer(key=key, dtype=dtype, to_vector=to_vector)
-                for info in self.transfer_opcodes(transfer):
-                    for use in info.uses:
-                        classes.add(use.resource)
-        instances: set[str] = set()
-        for name in classes:
-            instances.update(self.machine.resource_class(name).instances())
-        return frozenset(instances)
-
 
 class IncrementalPacker:
     """A packed :class:`Bins` kept in lockstep with an assignment by
@@ -376,97 +336,6 @@ class IncrementalPacker:
         return self.bins.high_water_mark()
 
 
-class ProbeCache:
-    """FM-style memo of TEST-REPARTITION results between moves.
-
-    A cached entry stores, besides the probe result, the weights of every
-    bin the flip could touch (the op's *footprint*), the maximum weight
-    over all other bins, and a snapshot of the ledger entries the replay
-    would release (the op's own reservations and its touched transfer
-    keys').  A hit requires all three to be unchanged — under which the
-    probe's release/reserve replay is provably identical, so the cached
-    result is exact, not approximate.  Entries whose transfer keys
-    intersect the last committed move's ``touch_keys`` are dropped
-    outright (the transfer structure itself may have changed).
-    """
-
-    def __init__(self, model: PartitionCostModel, bins: Bins):
-        self.model = model
-        self.bins = bins
-        self._entries: dict[
-            int,
-            tuple[
-                int,
-                list[tuple[str, int]],
-                int,
-                dict[object, tuple[tuple[str, int], ...]],
-            ],
-        ] = {}
-        self._footprints: dict[int, frozenset[str]] = {}
-
-    def _footprint(self, op: Operation) -> frozenset[str]:
-        fp = self._footprints.get(op.uid)
-        if fp is None:
-            fp = self._footprints[op.uid] = self.model.probe_footprint(op)
-        return fp
-
-    def _rest_max(self, footprint: frozenset[str]) -> int:
-        rest = 0
-        for instance, w in self.bins.weights.items():
-            if w > rest and instance not in footprint:
-                rest = w
-        return rest
-
-    def invalidate_for_move(self, op: Operation) -> None:
-        touch_keys = self.model.touch_keys
-        moved = touch_keys[op.uid]
-        stale = [
-            uid
-            for uid in self._entries
-            if uid == op.uid or touch_keys[uid] & moved
-        ]
-        for uid in stale:
-            del self._entries[uid]
-
-    def _released_ledger(
-        self, op: Operation
-    ) -> dict[object, tuple[tuple[str, int], ...]]:
-        """Snapshot of the ledger entries a probe of ``op`` releases."""
-        reservations = self.bins.reservations
-        snap: dict[object, tuple[tuple[str, int], ...]] = {
-            ("op", op.uid): tuple(reservations.get(("op", op.uid), ()))
-        }
-        for key in self.model.touch_keys[op.uid]:
-            entries = reservations.get(("comm", key))
-            if entries:
-                snap[("comm", key)] = tuple(entries)
-        return snap
-
-    def probe(self, assignment: dict[int, Side], op: Operation) -> int:
-        entry = self._entries.get(op.uid)
-        footprint = self._footprint(op)
-        weights = self.bins.weights
-        if entry is not None:
-            result, context, rest, released = entry
-            if (
-                all(weights[i] == w for i, w in context)
-                and self._rest_max(footprint) == rest
-                and self._released_ledger(op) == released
-            ):
-                self.model.n_probe_cache_hits += 1
-                return result
-        result = self.model.probe_cost(self.bins, assignment, op)
-        context = [(i, weights[i]) for i in footprint]
-        self._entries[op.uid] = (
-            result,
-            context,
-            self._rest_max(footprint),
-            self._released_ledger(op),
-        )
-        return result
-
-
-
 def partition_operations(
     dep: LoopDependence,
     machine: MachineDescription,
@@ -515,7 +384,6 @@ def partition_operations(
         moves = 0
         moves_accepted = 0
         verify = os.environ.get("REPRO_KL_VERIFY", "") not in ("", "0")
-        use_cache = os.environ.get("REPRO_KL_PROBE_CACHE", "1") not in ("", "0")
 
         while last_cost != best_cost:
             if config.max_iterations is not None and iterations >= config.max_iterations:
@@ -525,7 +393,6 @@ def partition_operations(
             locked: set[int] = set()
             cost = packer.repack(assignment)
             bins = packer.bins
-            cache = ProbeCache(model, bins) if use_cache else None
 
             for _ in range(len(candidates)):
                 # FIND-OP-TO-SWITCH: cheapest probe among unlocked candidates.
@@ -534,19 +401,13 @@ def partition_operations(
                 for op in candidates:
                     if op.uid in locked:
                         continue
-                    probe = (
-                        cache.probe(assignment, op)
-                        if cache is not None
-                        else model.probe_cost(bins, assignment, op)
-                    )
+                    probe = model.probe_cost(bins, assignment, op)
                     if probe < best_probe:
                         best_probe = probe
                         best_op = op
                 assert best_op is not None
                 locked.add(best_op.uid)
                 moves += 1
-                if cache is not None:
-                    cache.invalidate_for_move(best_op)
                 assignment[best_op.uid] = assignment[best_op.uid].flipped()
                 # Resume BIN-PACK from the first invalidated reservation
                 # in place of re-running it from scratch.
@@ -579,7 +440,6 @@ def partition_operations(
             moves_accepted=moves_accepted,
             n_probes=model.n_probes,
             n_bin_packs=model.n_bin_packs,
-            n_probe_cache_hits=model.n_probe_cache_hits,
             n_repacks=model.n_repacks,
             n_pack_steps=model.n_pack_steps,
         )
@@ -591,7 +451,6 @@ def partition_operations(
             rec.count("kl.moves_evaluated", model.n_probes)
             rec.count("kl.moves_accepted", moves_accepted)
             rec.count("kl.bin_packs", model.n_bin_packs)
-            rec.count("kl.probe_cache_hits", model.n_probe_cache_hits)
             rec.count("kl.repacks", model.n_repacks)
             rec.count("kl.pack_steps", model.n_pack_steps)
             rec.observe("kl.cost_reduction", scalar_cost - best_cost)
@@ -620,10 +479,10 @@ def _oracle_second_witness(dep, machine, config, result) -> None:
     """Cross-check the KL cost against the branch-and-bound oracle.
 
     Runs only under ``REPRO_KL_VERIFY=1`` on small loops.  The oracle is
-    started *cold* (no incumbent): a corrupted probe-cache/incremental
-    pack cost must not be allowed to prune away its own refutation.  A
-    KL cost below the oracle's sound lower bound can only mean the
-    incremental pack state diverged from a true bin-pack.
+    started *cold* (no incumbent): a corrupted incremental pack cost
+    must not be allowed to prune away its own refutation.  A KL cost
+    below the oracle's sound lower bound can only mean the incremental
+    pack state diverged from a true bin-pack.
     """
     from repro.oracle import OracleBudget
     from repro.oracle.exact_partition import exact_partition

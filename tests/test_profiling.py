@@ -70,7 +70,7 @@ class TestProfileFromRecorder:
         profile, telemetry = figure1_profile()
         totals = profile.counter_totals()
         for field, counter in EFFORT_COUNTER_MAP.items():
-            assert totals.get(counter, 0) == getattr(telemetry, field), (
+            assert totals.get(counter, 0) == telemetry.effort[field], (
                 f"{counter} attributed in the profile tree disagrees with "
                 f"CompileTelemetry.{field}"
             )
